@@ -29,6 +29,7 @@ from ..obs.report import (
 from ..pipeline.diagnose import explain_stall
 from ..pipeline.stalls import issue, stall_query
 from ..pipeline.state import PipelineState
+from ..pipeline.stream import IssueStream
 from ..pipeline.tables import LeanPipeline, TableMiss
 from ..spawn.model import MachineModel
 from .dependence import DependenceGraph, SchedulingPolicy, build_dependence_graph
@@ -381,20 +382,7 @@ class ListScheduler:
     # -- measurement -------------------------------------------------------------
 
     def _issue_cycles(self, instructions: list[Instruction]) -> int:
-        model = self.model
-        if model.tables is not None:
-            try:
-                lean = LeanPipeline(model.tables)
-                cycle = 0
-                for inst in instructions:
-                    timing = model.timing(inst)
-                    cycle, next_sid = lean.query(cycle, timing)
-                    lean.commit(timing, cycle, next_sid)
-                return cycle + 1 if instructions else 0
-            except TableMiss:
-                pass
-        state = PipelineState(model)
-        cycle = 0
+        stream = IssueStream(self.model)
         for inst in instructions:
-            cycle = issue(cycle, state, inst).issue_cycle
-        return cycle + 1 if instructions else 0
+            stream.issue(inst)
+        return stream.cycle + 1 if instructions else 0

@@ -34,6 +34,7 @@ from ..obs.recorder import NULL_RECORDER, Recorder
 from ..parallel.cache import ScheduleCache
 from ..parallel.executor import ParallelOptions, make_transform
 from ..pipeline.simulator import BlockSimulator
+from ..pipeline.tables import attach_tables
 from ..pipeline.timing import timed_run
 from ..qpt.profiling import SlowProfiler
 from ..robust.guard import GuardBudget
@@ -196,6 +197,13 @@ def run_profiling_experiment(
     else:
         model = load_machine(config.machine)
         calibration_machine = config.machine
+    if model.tables is None:
+        # Every timing query below — trace timing, the optimizer's
+        # block scoring, the list scheduler — then answers from
+        # compiled tables, with identical cycles. Attached on first use
+        # rather than in load_machine, so a process that only loads a
+        # machine does not pay for compiling them.
+        attach_tables(model)
     if program is None:
         program = generate_benchmark(
             benchmark, machine=calibration_machine, trip_count=config.trip_count

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from ..core.block_scheduler import BlockScheduler
 from ..core.optimizer import ImprovedScheduler
 from ..eel.editor import Editor
+from ..pipeline.tables import attach_tables
 from ..pipeline.timing import timed_run
 from ..qpt.profiling import SlowProfiler
 from ..spawn.model import MachineModel
@@ -83,6 +84,7 @@ def width_sweep(
     points = []
     for width in widths:
         model = load_superscalar(width)
+        attach_tables(model)
         compiled = Editor(program.executable).build(
             ImprovedScheduler(
                 model,

@@ -119,6 +119,14 @@ def reg_code(reg: Reg) -> int:
         return code
 
 
+_KINDS = tuple(RegKind)
+
+
+def code_reg(code: int) -> Reg:
+    """The register a :func:`reg_code` value stands for."""
+    return Reg(_KINDS[code >> 5], code & 31)
+
+
 def r(index: int) -> Reg:
     """The integer register ``r<index>`` (0–31)."""
     return Reg(RegKind.INT, index)

@@ -18,8 +18,9 @@ from dataclasses import dataclass, field
 from ..isa.instruction import Instruction
 from ..obs.recorder import NULL_RECORDER, Recorder
 from ..spawn.model import MachineModel
-from .stalls import issue, pipeline_stalls, walk
+from .stalls import pipeline_stalls
 from .state import PipelineState
+from .stream import IssueStream
 
 
 @dataclass
@@ -54,24 +55,21 @@ class BlockSimulator:
         self.recorder = recorder if recorder is not None else NULL_RECORDER
 
     def time_block(self, instructions: list[Instruction]) -> BlockTiming:
-        """Issue ``instructions`` in order through a fresh pipeline."""
-        state = PipelineState(self.model)
-        cycle = 0
-        stall_total = 0
-        drain = 0
-        issue_times: list[int] = []
-        for inst in instructions:
-            result = issue(cycle, state, inst, self.recorder)
-            stall_total += result.stalls
-            cycle = result.issue_cycle
-            drain = max(drain, result.completion_cycle)
-            issue_times.append(result.issue_cycle)
+        """Issue ``instructions`` in order through a fresh pipeline
+        (table-only when the model has compiled tables and the
+        recorder is off; see :class:`~repro.pipeline.stream.IssueStream`)."""
+        stream = IssueStream(self.model, self.recorder)
+        issue = stream.issue
+        issue_times = [issue(inst) for inst in instructions]
+        # Each instruction is queried at its predecessor's issue cycle
+        # (the first at 0), so the per-instruction stalls sum to the
+        # last issue cycle.
         last_issue = issue_times[-1] if issue_times else -1
         return BlockTiming(
             instructions=len(instructions),
             issue_cycles=last_issue + 1,
-            drain_cycles=drain,
-            stall_cycles=stall_total,
+            drain_cycles=stream.drain,
+            stall_cycles=max(last_issue, 0),
             issue_times=issue_times,
         )
 

@@ -59,7 +59,7 @@ import json
 import os
 import tempfile
 
-from ..isa.registers import reg_code
+from ..isa.registers import code_reg, reg_code
 from ..spawn.model import InstructionTiming, MachineModel
 from .state import PipelineState
 
@@ -73,8 +73,13 @@ DEFAULT_BUDGET = 50_000
 #: stores and what every worker process starts from.
 DEFAULT_EAGER_STATES = 256
 
+#: Bits of a transition key that hold the timing group. Groups are
+#: formed per (mnemonic, immediate-use) variant, so a machine has a few
+#: hundred at most.
+GROUP_BITS = 16
+
 #: On-disk cache format version (bump on any layout change).
-_CACHE_VERSION = 1
+_CACHE_VERSION = 2
 
 #: Environment override for the on-disk table cache directory.
 CACHE_DIR_ENV = "REPRO_TABLE_CACHE_DIR"
@@ -92,11 +97,18 @@ class PipelineTables:
     """Interned structural states + memoized transitions for one model.
 
     ``keys[sid]`` is the canonical row tuple of state ``sid`` (state 0
-    is the empty machine); ``transitions[sid][group]`` maps a timing
-    group to ``(fit, next_sid)`` where ``fit`` is the offset of the
-    earliest structural fit from the queried cycle and ``next_sid`` the
-    state after committing there (None when the successor was past the
-    budget — the stall answer is still valid, only tracking is lost).
+    is the empty machine); ``transitions[sid << GROUP_BITS | group]``
+    maps a state and timing group to ``(fit, next_sid)`` where ``fit``
+    is the offset of the earliest structural fit from the queried cycle
+    and ``next_sid`` the state after committing there (None when the
+    successor was past the budget — the stall answer is still valid,
+    only tracking is lost).
+
+    Storage is compact because lazy learning on a long experiment
+    interns thousands of states: every distinct per-cycle row is one
+    shared tuple (the states hold many times more rows than there are
+    distinct ones), and the transitions are one flat map keyed by the
+    (state, group) pair packed into one int.
     """
 
     def __init__(self, model: MachineModel, *, budget: int = DEFAULT_BUDGET) -> None:
@@ -106,8 +118,10 @@ class PipelineTables:
         self.capacity = tuple(model.unit_capacity)
         self.keys: list[tuple] = [()]
         self.ids: dict[tuple, int] = {(): 0}
+        #: row tuple -> its one shared instance, for every state key.
+        self.rows: dict[tuple, tuple] = {}
         self.advance: list[int | None] = [0]  # empty advances to itself
-        self.transitions: list[dict[int, tuple[int, int | None]]] = [{}]
+        self.transitions: dict[int, tuple[int, int | None]] = {}
         #: True once an intern was refused because of the budget.
         self.exhausted = False
         #: group id -> prepared events for the group's bare trace.
@@ -142,10 +156,11 @@ class PipelineTables:
             self.exhausted = True
             return None
         sid = len(self.keys)
+        rows = self.rows
+        key = tuple([rows.setdefault(row, row) for row in key])
         self.ids[key] = sid
         self.keys.append(key)
         self.advance.append(None)
-        self.transitions.append({})
         return sid
 
     def intern_from_state(self, state: PipelineState, origin: int) -> int | None:
@@ -188,12 +203,12 @@ class PipelineTables:
         learning (and memoizing) it on first use. None only when the
         group's trace does not fit the compiled window (cannot happen
         for groups known at attach time)."""
-        transition = self.transitions[sid].get(group)
+        transition = self.transitions.get(sid << GROUP_BITS | group)
         if transition is None:
             transition = self._learn(sid, group)
             if transition is None:
                 return None
-            self.transitions[sid][group] = transition
+            self.transitions[sid << GROUP_BITS | group] = transition
         return transition
 
     def _learn(self, sid: int, group: int) -> tuple[int, int | None] | None:
@@ -236,10 +251,10 @@ class PipelineTables:
             if key and self.advance[sid] is None:
                 self.advance[sid] = self._intern(key[1:])
             for group in groups:
-                if group not in self.transitions[sid]:
+                if (sid << GROUP_BITS | group) not in self.transitions:
                     transition = self._learn(sid, group)
                     if transition is not None:
-                        self.transitions[sid][group] = transition
+                        self.transitions[sid << GROUP_BITS | group] = transition
                 if len(self.keys) >= limit:
                     break
             frontier += 1
@@ -264,27 +279,38 @@ class PipelineTables:
         ]
         return hashlib.sha256(repr(signatures).encode()).hexdigest()[:16]
 
+    def indexed_rows(self) -> tuple[list[tuple], list[list[int]]]:
+        """The distinct rows, in first-use order, and every state key
+        as a list of indices into them."""
+        index: dict[tuple, int] = {}
+        keys = [
+            [index.setdefault(row, len(index)) for row in key]
+            for key in self.keys
+        ]
+        return list(index), keys
+
     def payload(self) -> dict:
         """The JSON-serializable table content: every interned state and
         memoized transition, eager prefix and lazily learned alike.
         (The eager prefix is deterministic; learned states depend on
         what was scheduled, but every persisted transition was computed
-        by the interpreted walker, so any superset is equally valid.)"""
+        by the interpreted walker, so any superset is equally valid.)
+        The layout mirrors the in-memory storage: each distinct row is
+        written once and a state lists its rows by index."""
+        rows, keys = self.indexed_rows()
         return {
             "version": _CACHE_VERSION,
             "window": self.window,
             "capacity": list(self.capacity),
             "groups": self.model.group_count,
             "groups_sig": self._groups_fingerprint(),
-            "keys": [[list(row) for row in key] for key in self.keys],
+            "rows": [list(row) for row in rows],
+            "keys": keys,
             "advance": self.advance,
-            "transitions": [
-                sorted(
-                    (group, fit, next_sid)
-                    for group, (fit, next_sid) in table.items()
-                )
-                for table in self.transitions
-            ],
+            "transitions": sorted(
+                [*divmod(key, 1 << GROUP_BITS), fit, next_sid]
+                for key, (fit, next_sid) in self.transitions.items()
+            ),
         }
 
     def load_payload(self, payload: dict) -> bool:
@@ -298,9 +324,8 @@ class PipelineTables:
             or payload.get("groups_sig") != self._groups_fingerprint()
         ):
             return False
-        keys = [
-            tuple(tuple(row) for row in key) for key in payload["keys"]
-        ]
+        rows = [tuple(row) for row in payload["rows"]]
+        keys = [tuple(rows[index] for index in key) for key in payload["keys"]]
         if not keys or keys[0] != ():
             return False
         if len(keys) > self.budget:
@@ -308,18 +333,20 @@ class PipelineTables:
         known = len(keys)
         self.keys = keys
         self.ids = {key: sid for sid, key in enumerate(keys)}
+        self.rows = {row: row for row in rows}
         self.advance = [
             sid if sid is not None and sid < known else None
             for sid in payload["advance"][:known]
         ]
         self.advance[0] = 0
-        self.transitions = [
-            {
-                group: (fit, next_sid if (next_sid is None or next_sid < known) else None)
-                for group, fit, next_sid in table
-            }
-            for table in payload["transitions"][:known]
-        ]
+        self.transitions = {
+            sid << GROUP_BITS | group: (
+                fit,
+                next_sid if (next_sid is None or next_sid < known) else None,
+            )
+            for sid, group, fit, next_sid in payload["transitions"]
+            if sid < known
+        }
         return True
 
 
@@ -330,19 +357,22 @@ class TableMiss(Exception):
 
 def _lean_accesses(
     timing: InstructionTiming,
-) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]]:
+) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...], int]:
     """The timing's register accesses with each :class:`Reg` replaced
-    by a dense int code, memoized on the timing object. The coding is
-    a bijection, so the lean history dictionaries partition streams
-    exactly as the Reg-keyed ones do."""
+    by a dense int code, plus the cycles from issue to pipeline exit,
+    memoized on the timing object. The coding is a bijection, so the
+    lean history dictionaries partition streams exactly as the
+    Reg-keyed ones do."""
     try:
-        return timing._lean_reads, timing._lean_writes
+        return timing._lean
     except AttributeError:
-        reads = tuple((reg_code(reg), rel) for reg, rel in timing.reads)
-        writes = tuple((reg_code(reg), rel) for reg, rel in timing.writes)
-        object.__setattr__(timing, "_lean_reads", reads)
-        object.__setattr__(timing, "_lean_writes", writes)
-        return reads, writes
+        lean = (
+            tuple((reg_code(reg), rel) for reg, rel in timing.reads),
+            tuple((reg_code(reg), rel) for reg, rel in timing.writes),
+            timing.trace.max_event_cycle + 1,
+        )
+        object.__setattr__(timing, "_lean", lean)
+        return lean
 
 
 class LeanPipeline:
@@ -351,18 +381,18 @@ class LeanPipeline:
 
     This is the promise of the compiled tables made literal — an issue
     is a couple of dictionary lookups plus register-history updates.
-    The trade is that there is no interpreted walker to fall back to
-    mid-stream (the occupancy rows were never maintained), so the
-    moment a query cannot be served from the tables
-    (:class:`TableMiss`) the caller restarts the whole region on a full
-    :class:`~repro.pipeline.state.PipelineState`. The register
+    No occupancy rows are maintained, so the moment a query cannot be
+    served from the tables (:class:`TableMiss`) the caller either
+    restarts its work on a full
+    :class:`~repro.pipeline.state.PipelineState` or continues on the
+    one :meth:`to_state` rebuilds from this stream. The register
     lower-bound logic mirrors
     :func:`repro.pipeline.stalls._table_query`, and the commit mirrors
     :func:`repro.pipeline.stalls.issue`'s history updates, so lean and
     full runs are byte-identical where both complete.
     """
 
-    __slots__ = ("tables", "sid", "origin", "write_cy", "read_cy")
+    __slots__ = ("tables", "sid", "origin", "write_cy", "read_cy", "drain")
 
     def __init__(self, tables: PipelineTables) -> None:
         self.tables = tables
@@ -372,12 +402,14 @@ class LeanPipeline:
         self.write_cy: dict = {}
         #: reg code -> latest cycle the reg was read.
         self.read_cy: dict = {}
+        #: cycle after the latest pipeline exit of any committed issue.
+        self.drain = 0
 
     def query(self, cycle: int, timing: InstructionTiming) -> tuple[int, int | None]:
         """Earliest issue cycle >= ``cycle`` for ``timing``, plus the
         table state after committing there. Raises :class:`TableMiss`
         when the tables cannot answer."""
-        reads, writes = _lean_accesses(timing)
+        reads, writes, _span = _lean_accesses(timing)
         lb = cycle
         write_cy = self.write_cy
         read_cy = self.read_cy
@@ -392,12 +424,18 @@ class LeanPipeline:
             t = read_cy.get(code, -1) + 1 - rel
             if t > lb:
                 lb = t
-        sid = self.tables.advance_to(self.sid, lb - self.origin)
-        if sid is None:
-            raise TableMiss
-        transition = self.tables.lookup(sid, timing.group)
+        tables = self.tables
+        sid = self.sid
+        if lb > self.origin:
+            sid = tables.advance_to(sid, lb - self.origin)
+            if sid is None:
+                raise TableMiss
+        group = timing.group
+        transition = tables.transitions.get(sid << GROUP_BITS | group)
         if transition is None:
-            raise TableMiss
+            transition = tables.lookup(sid, group)
+            if transition is None:
+                raise TableMiss
         fit, next_sid = transition
         return lb + fit, next_sid
 
@@ -410,7 +448,7 @@ class LeanPipeline:
             raise TableMiss  # successor was past the interning budget
         self.sid = next_sid
         self.origin = issue_cycle
-        reads, writes = _lean_accesses(timing)
+        reads, writes, span = _lean_accesses(timing)
         read_cy = self.read_cy
         write_cy = self.write_cy
         for code, rel in reads:
@@ -419,6 +457,31 @@ class LeanPipeline:
                 read_cy[code] = cycle
         for code, rel in writes:
             write_cy[code] = issue_cycle + rel
+        if issue_cycle + span > self.drain:
+            self.drain = issue_cycle + span
+
+    def to_state(self, model: MachineModel) -> PipelineState:
+        """The interpreted state this stream stands for, rebased so
+        that its cycle 0 is absolute cycle ``origin``: the rows of
+        ``keys[sid]`` placed from cycle 0 and the register history
+        shifted by ``-origin``. Every query on the stream is at or
+        after ``origin`` and every hazard bound is a difference of two
+        cycles, so the interpreted walker gives the same answers,
+        shifted, as this stream would have."""
+        state = PipelineState(model)
+        state._free = [list(row) for row in self.tables.keys[self.sid]]
+        origin = self.origin
+        state.write_cy = {
+            code_reg(code): cycle - origin for code, cycle in self.write_cy.items()
+        }
+        state.read_cy = {
+            code_reg(code): cycle - origin for code, cycle in self.read_cy.items()
+        }
+        if state.tables is not None:
+            # Same tables: the state id stays valid; other tables must
+            # relearn it from the rows.
+            state.sid = self.sid if state.tables is self.tables else None
+        return state
 
 
 def _cache_path(digest: str, directory: str) -> str:

@@ -9,7 +9,9 @@ essential for the paper's small-block SPECINT behaviour.
 
 This is the "Time" measurement of the evaluation harness: the paper ran
 wall-clock on hardware; we run the same binaries through an in-order
-pipeline simulation of the same microarchitectures.
+pipeline simulation of the same microarchitectures. With compiled
+tables attached and no recorder enabled, each dynamic instruction is a
+table lookup (:class:`~repro.pipeline.stream.IssueStream`).
 """
 
 from __future__ import annotations
@@ -19,8 +21,7 @@ from dataclasses import dataclass
 from ..isa.simulator import RunResult
 from ..obs.recorder import NULL_RECORDER, Recorder
 from ..spawn.model import MachineModel
-from .stalls import issue
-from .state import PipelineState
+from .stream import IssueStream
 
 
 @dataclass
@@ -46,12 +47,11 @@ def timed_run(
 ) -> TimedRun:
     """Run ``executable`` functionally while timing it on ``model``."""
     rec = recorder if recorder is not None else NULL_RECORDER
-    state = PipelineState(model)
-    last_issue = -1
+    stream = IssueStream(model, rec)
+    issue = stream.issue
 
     def hook(address: int, inst) -> None:
-        nonlocal last_issue
-        last_issue = issue(max(last_issue, 0), state, inst, rec).issue_cycle
+        issue(inst)
 
     with rec.span("pipeline.timed_run"):
         result = executable.run(
@@ -60,7 +60,7 @@ def timed_run(
             on_execute=hook,
         )
     return TimedRun(
-        cycles=last_issue + 1,
+        cycles=stream.cycle + 1 if result.instructions_executed else 0,
         instructions=result.instructions_executed,
         result=result,
     )

@@ -215,13 +215,18 @@ _TABLES_APPENDIX = '''
 # data. Queries that leave the prefix fall back to the interpreted loop
 # above; answers are byte-identical either way.
 
+#: distinct per-cycle free-unit rows, shared by the state keys below
+TABLE_ROWS = {rows!r}
+
 #: per state: tuple of per-cycle free-unit rows, relative to "now"
-TABLE_KEYS = {keys!r}
+TABLE_KEYS = tuple(
+    tuple(TABLE_ROWS[i] for i in key) for key in {key_rows!r}
+)
 
 #: state id -> state id one idle cycle later (None: outside the prefix)
 TABLE_ADVANCE = {advance!r}
 
-#: per state: {{timing group id: (fit offset, next state id)}}
+#: (state id, timing group id) -> (fit offset, next state id)
 TABLE_TRANSITIONS = {transitions!r}
 
 #: row tuple -> state id, to re-enter the prefix after a fallback issue
@@ -272,7 +277,7 @@ def _table_query(cycle, state, gid, reads, writes):
         if sid is None:
             return None
         remaining -= 1
-    transition = TABLE_TRANSITIONS[sid].get(gid)
+    transition = TABLE_TRANSITIONS.get((sid, gid))
     if transition is None:
         return None
     return lb + transition[0], transition[1]
@@ -392,11 +397,18 @@ def generate_source(model: MachineModel, tables=None) -> str:
         group_last_rel=tuple(last_rel),
     )
     if tables is not None:
+        from ..pipeline.tables import GROUP_BITS
+
+        rows, key_rows = tables.indexed_rows()
         source += _TABLES_APPENDIX.format(
             states=tables.states,
-            keys=tuple(tables.keys),
+            rows=tuple(rows),
+            key_rows=tuple(tuple(key) for key in key_rows),
             advance=list(tables.advance),
-            transitions=list(tables.transitions),
+            transitions={
+                divmod(key, 1 << GROUP_BITS): transition
+                for key, transition in sorted(tables.transitions.items())
+            },
             window=tables.window,
         )
     return source

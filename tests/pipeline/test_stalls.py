@@ -229,11 +229,12 @@ def test_profiling_sequence_cost_matches_paper(ultra, supersparc):
 
 def test_prepare_cache_is_model_keyed():
     """Regression: the shared prepared-events cache is keyed by the
-    model's content digest. Timing-group ids are handed out per model in
-    formation order, so two different machines routinely assign the same
+    timing's content (trace signature and resolved accesses), not its
+    group id. Timing-group ids are handed out per model in formation
+    order, so two different machines routinely assign the same
     ``(group, reads, writes)`` triple to *different* pipeline traces —
-    ``add`` on hypersparc and ultrasparc is one such pair. A digest-free
-    key would hand the second machine the first machine's prepared
+    ``add`` on hypersparc and ultrasparc is one such pair. A group-keyed
+    entry would hand the second machine the first machine's prepared
     events and silently mis-time it."""
     from repro.pipeline.stalls import _prepare
     from repro.spawn.library import description_text, load_machine_from_source
@@ -252,8 +253,8 @@ def test_prepare_cache_is_model_keyed():
 
     # Warm the shared cache with hypersparc first, then demand the
     # ultrasparc bundle: it must be built from the ultrasparc trace.
-    prepared_h = _prepare(timing_h, hyper)
-    prepared_u = _prepare(timing_u, ultra)
+    prepared_h = _prepare(timing_h)
+    prepared_u = _prepare(timing_u)
     assert prepared_u is not prepared_h
     assert prepared_u.acquires != prepared_h.acquires
 
@@ -276,3 +277,29 @@ def test_prepare_cache_is_model_keyed():
         cycle_i = issue(cycle_i, state, item).issue_cycle
         cycle_g = module.issue(cycle_g, gen_state, item)
         assert cycle_i == cycle_g
+
+
+def test_prepare_cache_survives_group_renumbering():
+    """Regression: two models built from one description number their
+    timing groups in first-use order, so the same ``(group, reads,
+    writes)`` triple can name different traces on each — here ``nop``
+    and ``ba``, which touch no registers. A bundle prepared on one model
+    must never be served to the other."""
+    from repro.pipeline.stalls import _prepare, _prepare_uncached
+    from repro.spawn.library import description_text, load_machine_from_source
+
+    source = description_text("ultrasparc")
+    first = load_machine_from_source(source, "ultrasparc")
+    second = load_machine_from_source(source, "ultrasparc")
+    nop, branch = Instruction("nop", imm=0), Instruction("ba", imm=0)
+    warmed = [first.timing(nop), first.timing(branch)]
+    served = [second.timing(branch), second.timing(nop)]
+    # The collision precondition: identical triples, different traces.
+    for a, b in zip(warmed, served):
+        assert (a.group, a.reads, a.writes) == (b.group, b.reads, b.writes)
+        assert a.trace.signature() != b.trace.signature()
+
+    for timing in warmed:
+        _prepare(timing)
+    for timing in served:
+        assert _prepare(timing) == _prepare_uncached(timing)

@@ -127,6 +127,33 @@ def test_time_stats_does_not_change_cycles(program, capsys):
     assert plain_cycles == stats_cycles
 
 
+@pytest.mark.parametrize("machine", ["hypersparc", "supersparc", "ultrasparc"])
+def test_time_stats_matches_table_timing(tmp_path, machine, capsys, monkeypatch):
+    """With compiled tables attached, plain ``qpt time`` times the run
+    table-only while ``--stats`` keeps the interpreted walker for hazard
+    attribution; both must report the same cycle count."""
+    import repro.tools.qpt_cli as qpt_cli
+    from repro.pipeline.tables import attach_tables
+    from repro.spawn.library import description_text, load_machine_from_source
+    from repro.workloads import WorkloadSpec, generate
+
+    model = load_machine_from_source(description_text(machine), machine)
+    attach_tables(model, use_disk_cache=False)
+    monkeypatch.setattr(qpt_cli, "load_machine", lambda name: model)
+    program = generate(
+        WorkloadSpec(name="cli-time", seed=7, kind="fp", avg_block_size=10.0, loops=3)
+    )
+    path = tmp_path / "prog.rxe"
+    path.write_bytes(program.executable.to_bytes())
+
+    assert main(["time", str(path), "--machine", machine]) == 0
+    plain_cycles = capsys.readouterr().out.split()[1]
+    assert main(["time", str(path), "--machine", machine, "--stats"]) == 0
+    stats_out = capsys.readouterr().out
+    assert "stall attribution" in stats_out
+    assert stats_out.split()[1] == plain_cycles
+
+
 def test_instrument_stats_reports_scheduler_decisions(tmp_path, program, capsys):
     path, _ = program
     out = tmp_path / "sum.qpt.rxe"

@@ -23,8 +23,6 @@ from ..eel.cfg import BasicBlock
 from ..isa.instruction import Instruction
 from ..obs.recorder import NULL_RECORDER, Recorder
 from ..obs.report import SCHED_BLOCKS, SCHED_DELAY_SLOTS
-from ..pipeline.stalls import issue
-from ..pipeline.state import PipelineState
 from ..spawn.model import MachineModel
 from .dependence import SchedulingPolicy
 from .list_scheduler import ListScheduler, ScheduleResult
@@ -173,28 +171,12 @@ class BlockScheduler:
             if entry is not None:
                 result = entry.replay(region)
                 if self.recorder.enabled:
-                    self._replay_attribution(result.instructions)
+                    self.scheduler.attribute(result.instructions)
                 return result
         result = self.scheduler.schedule_region(region)
         if self.cache is not None:
             self.cache.insert(self._cache_context, region, result, digest=digest)
         return result
-
-    def _replay_attribution(self, instructions: list[Instruction]) -> None:
-        """Re-issue a cached schedule through the pipeline so hazard
-        attribution (``pipeline.*`` counters) matches a cold run.
-
-        The forward pass issues each chosen instruction linearly, so a
-        single issue-walk over the final order reproduces the exact
-        stall/hazard/issue counts a fresh schedule would have recorded.
-        Forward-pass decision telemetry (``scheduler.decisions`` and
-        friends) is inherently skipped by memoization and is not
-        replayed.
-        """
-        state = PipelineState(self.model)
-        cycle = 0
-        for inst in instructions:
-            cycle = issue(cycle, state, inst, self.recorder).issue_cycle
 
     # -- delay slots -------------------------------------------------------------
 

@@ -26,11 +26,8 @@ from ..obs.report import (
     SCHED_READY_SET,
     SCHED_TIE_BREAK,
 )
-from ..pipeline.diagnose import explain_stall
-from ..pipeline.stalls import issue, stall_query
-from ..pipeline.state import PipelineState
+from ..pipeline.simulator import BlockSimulator
 from ..pipeline.stream import IssueStream
-from ..pipeline.tables import LeanPipeline, TableMiss
 from ..spawn.model import MachineModel
 from .dependence import DependenceGraph, SchedulingPolicy, build_dependence_graph
 from .priorities import chain_lengths
@@ -54,8 +51,8 @@ class ScheduleResult:
     original_cycles: int
     scheduled_cycles: int
     graph: DependenceGraph = field(repr=False, default=None)
-    #: the running pipeline cycle after the forward pass when an entry
-    #: state was threaded in (superblock scheduling); None otherwise.
+    #: the entry stream's cycle after the forward pass when one was
+    #: threaded in (superblock scheduling); None otherwise.
     exit_cycle: int | None = field(default=None, compare=False)
 
     @property
@@ -84,26 +81,25 @@ class ListScheduler:
         #: hazard diagnosis per rejected candidate; schedules are
         #: byte-identical either way.
         self.provenance = provenance
+        self._simulator = BlockSimulator(model)
 
     # -- public API -------------------------------------------------------------
 
     def schedule_region(
-        self,
-        region: list[Instruction],
-        *,
-        entry_state: PipelineState | None = None,
-        entry_cycle: int = 0,
+        self, region: list[Instruction], *, entry: IssueStream | None = None
     ) -> ScheduleResult:
         """Schedule one straight-line region (no control transfers).
 
-        ``entry_state``/``entry_cycle`` thread a live pipeline state into
-        the forward pass, so the priority function sees latencies still
-        draining from code issued *before* this region — how the
-        superblock scheduler carries state across fall-through block
-        boundaries (:mod:`repro.core.superblock`). The state is mutated
-        in place (each chosen instruction is committed to it); the
-        result's ``exit_cycle`` is the running cycle afterwards. With
-        the defaults the behavior is exactly the paper's local pass.
+        ``entry`` threads a live issue stream into the forward pass, so
+        the priority function sees latencies still draining from code
+        issued *before* this region — how the superblock scheduler
+        carries state across fall-through block boundaries
+        (:mod:`repro.core.superblock`). Each chosen instruction is
+        issued on it; the result's ``exit_cycle`` is the stream's cycle
+        afterwards. Without it the behavior is exactly the paper's
+        local pass. An enabled recorder gets the region's hazard
+        attribution (:meth:`attribute`) only without ``entry``: the
+        stream's owner attributes the whole walk.
         """
         for inst in region:
             if inst.is_control:
@@ -119,67 +115,66 @@ class ListScheduler:
         with rec.span("core.backward_pass"):
             heights = chain_lengths(self.model, graph)
         with rec.span("core.forward_pass"):
-            order = exit_cycle = None
-            if (
-                entry_state is None
-                and not rec.enabled
-                and self.provenance is None
-                and self.model.tables is not None
-            ):
-                # Table-only fast path: no telemetry or provenance to
-                # feed and no threaded state, so the pass needs neither
-                # the occupancy timeline nor interval commits. Any
-                # query the tables cannot serve restarts the region on
-                # the full machinery below.
-                try:
-                    order, exit_cycle = self._forward_pass_lean(graph, heights)
-                except TableMiss:
-                    order = None
-            if order is None:
-                order, exit_cycle = self._forward_pass(
-                    graph, heights, state=entry_state, cycle=entry_cycle
-                )
-        scheduled = [region[i] for i in order]
-        if entry_state is None:
+            stream = entry if entry is not None else IssueStream(self.model)
+            order = self._forward_pass(graph, heights, stream)
+            scheduled = [region[i] for i in order]
+            if entry is None and rec.enabled:
+                self.attribute(scheduled)
+        if entry is None:
             # From an empty pipeline the forward pass *is* the
             # sequential issue walk over `scheduled`, so its final
             # cycle already prices the schedule.
-            scheduled_cycles = exit_cycle + 1 if region else 0
+            scheduled_cycles = stream.cycle + 1 if region else 0
         else:
-            scheduled_cycles = self._issue_cycles(scheduled)
+            scheduled_cycles = self._simulator.block_cycles(scheduled)
         return ScheduleResult(
             instructions=scheduled,
             order=order,
-            original_cycles=self._issue_cycles(region),
+            original_cycles=self._simulator.block_cycles(region),
             scheduled_cycles=scheduled_cycles,
             graph=graph,
-            exit_cycle=exit_cycle if entry_state is not None else None,
+            exit_cycle=stream.cycle if entry is not None else None,
         )
 
-    # -- passes -----------------------------------------------------------------
+    def attribute(self, instructions: list[Instruction]) -> None:
+        """Hazard attribution (``pipeline.*`` counters) for a region
+        scheduled as ``instructions``: one issue walk of the order on
+        the recorder, from an empty pipeline.
 
-    def _forward_pass_lean(
-        self, graph: DependenceGraph, heights: list[int]
-    ) -> tuple[list[int], int]:
-        """The forward pass on a :class:`LeanPipeline` — identical
-        picks and cycles to :meth:`_forward_pass` from an empty entry
-        state, computed entirely from the compiled tables. Raises
-        :class:`TableMiss` when the tables cannot carry the region.
+        The forward pass issues each chosen instruction in order, so
+        this walk sees exactly the stalls it did. Fresh schedules and
+        replayed cache hits both attribute through here, so a served
+        region counts what a cold one does. Forward-pass decision
+        telemetry (``scheduler.*``) is not replayed.
+        """
+        stream = IssueStream(self.model, self.recorder)
+        for inst in instructions:
+            stream.issue(inst)
 
-        The pick is a minimum over the candidate keys, so unlike the
-        generic pass (which must price every candidate for its
-        telemetry and provenance sinks) this pass scans the ready set
-        in sorted secondary order and stops at the first candidate no
-        later candidate can beat — under ``stalls_chain`` and
-        ``chain_stalls`` a zero-stall candidate met in ``(-height,
-        node)`` order, under ``program_order`` simply the lowest-index
-        candidate."""
+    # -- the forward pass -------------------------------------------------------
+
+    def _forward_pass(
+        self, graph: DependenceGraph, heights: list[int], stream: IssueStream
+    ) -> list[int]:
+        """Issue the region on ``stream`` in priority order; returns
+        the order.
+
+        The pick is a minimum over the candidate keys. With no decision
+        sink attached the ready set is scanned in sorted secondary
+        order, and the scan stops at the first candidate no later one
+        can beat: under ``stalls_chain`` and ``chain_stalls`` a
+        zero-stall candidate met in ``(-height, node)`` order, under
+        ``program_order`` simply the lowest-index candidate. Decision
+        telemetry and provenance see every ready candidate, so with
+        either attached each one is priced."""
         n = graph.size
         remaining_preds = [len(graph.preds[i]) for i in range(n)]
         order: list[int] = []
-        model = self.model
-        timings = [model.timing(node) for node in graph.nodes]
-        lean = LeanPipeline(model.tables)
+        timings = [self.model.timing(node) for node in graph.nodes]
+        rec = self.recorder
+        log = self.provenance
+        telemetry = rec.enabled
+        price_all = telemetry or log is not None
         priority = self.policy.priority
         program_order = priority == "program_order"
         chain_first = priority == "chain_stalls"
@@ -188,6 +183,10 @@ class ListScheduler:
         else:
             scan_key = [(-heights[i], i) for i in range(n)]
         ready = sorted(scan_key[i] for i in range(n) if remaining_preds[i] == 0)
+        # Provenance lists the rejected candidates in the order they
+        # became ready.
+        arrival = list(range(n))
+        arrived = n
         # Issuing an instruction only ever adds constraints (occupancy
         # grows, register history tightens — WAW enforcement keeps
         # write availability monotone), so a candidate's answered issue
@@ -196,25 +195,26 @@ class ListScheduler:
         # without a query: it loses on stalls, or ties and then loses
         # the (-height, node) tie-break to the earlier-scanned best.
         floor = [0] * n
-        cycle = 0
+        query = stream.query
 
         while ready:
-            best = None
-            best_key = None
-            best_hit = None
+            cycle = stream.cycle
+            best = best_key = best_hit = None
+            keys: list[tuple] = []
+            cands: list[tuple[int, int]] = []
             for entry in ready:
                 node = entry[-1]
-                if (
-                    chain_first
-                    and best_key is not None
-                    and entry[0] > best_key[0]
-                ):
-                    break  # a worse chain height can no longer win
-                if best_hit is not None and floor[node] >= best_hit[0]:
-                    continue
-                hit = lean.query(cycle, timings[node])
+                if not price_all:
+                    if chain_first and best_key is not None and entry[0] > best_key[0]:
+                        break  # a worse chain height can no longer win
+                    if best_hit is not None and floor[node] >= best_hit[0]:
+                        continue
+                hit = query(timings[node])
                 floor[node] = hit[0]
                 stalls = hit[0] - cycle
+                # The paper's priority: fewest stalls, then longest
+                # chain to block end, then original program position.
+                # Variants exist for the ablation study.
                 if chain_first:
                     key = (-heights[node], stalls, node)
                 elif program_order:
@@ -225,105 +225,43 @@ class ListScheduler:
                     best_key = key
                     best = node
                     best_hit = hit
-                if program_order or stalls == 0:
+                if price_all:
+                    keys.append(key)
+                    cands.append((node, stalls))
+                elif program_order or stalls == 0:
                     # program_order: the lowest index always wins.
                     # Otherwise: zero stalls is unbeatable, and every
                     # later candidate loses the (-height, node)
                     # tie-break by scan order.
                     break
-            cycle = best_hit[0]
-            lean.commit(timings[best], cycle, best_hit[1])
-            order.append(best)
-            ready.remove(scan_key[best])
-            for succ in graph.succs[best]:
-                remaining_preds[succ] -= 1
-                if remaining_preds[succ] == 0:
-                    insort(ready, scan_key[succ])
-
-        if len(order) != n:  # pragma: no cover - DAGs are acyclic by construction
-            raise RuntimeError("dependence graph had a cycle")
-        return order, cycle
-
-    def _forward_pass(
-        self,
-        graph: DependenceGraph,
-        heights: list[int],
-        *,
-        state: PipelineState | None = None,
-        cycle: int = 0,
-    ) -> tuple[list[int], int]:
-        n = graph.size
-        remaining_preds = [len(graph.preds[i]) for i in range(n)]
-        ready = [i for i in range(n) if remaining_preds[i] == 0]
-        order: list[int] = []
-        if state is None:
-            state = PipelineState(self.model)
-            cycle = 0
-        model = self.model
-        timings = [model.timing(node) for node in graph.nodes]
-        rec = self.recorder
-        log = self.provenance
-        telemetry = rec.enabled
-        keys: list[tuple] | None = [] if (telemetry or log is not None) else None
-        cands: list[tuple[int, int]] | None = [] if log is not None else None
-
-        while ready:
-            best = None
-            best_key = None
-            if keys is not None:
-                keys.clear()
-            if cands is not None:
-                cands.clear()
-            for node in ready:
-                stalls = stall_query(cycle, state, timings[node])
-                # The paper's priority: fewest stalls, then longest
-                # chain to block end, then original program position.
-                # Variants exist for the ablation study.
-                if self.policy.priority == "chain_stalls":
-                    key = (-heights[node], stalls, node)
-                elif self.policy.priority == "program_order":
-                    key = (node, stalls)
-                else:
-                    key = (stalls, -heights[node], node)
-                if keys is not None:
-                    keys.append(key)
-                if cands is not None:
-                    cands.append((node, stalls))
-                if best_key is None or key < best_key:
-                    best_key = key
-                    best = node
             if telemetry:
                 self._record_decision(rec, keys, best_key)
-            rejected = (
-                self._collect_rejections(graph, cands, best, cycle, state)
-                if log is not None
-                else None
-            )
-            result = issue(cycle, state, graph.nodes[best], rec)
             if log is not None:
-                chosen_stalls = next(s for n, s in cands if n == best)
+                cands.sort(key=lambda cand: arrival[cand[0]])
                 log.record(
                     Placement(
                         slot=len(order),
                         index=best,
                         mnemonic=str(graph.nodes[best]),
-                        cycle=result.issue_cycle,
-                        stalls=chosen_stalls,
+                        cycle=best_hit[0],
+                        stalls=best_hit[0] - cycle,
                         reason=self._decision_reason(keys, best_key),
-                        rejected=rejected,
+                        rejected=self._rejections(graph, cands, best, stream),
                     )
                 )
-            cycle = result.issue_cycle
+            stream.commit(graph.nodes[best], best_hit)
             order.append(best)
-            ready.remove(best)
+            ready.remove(scan_key[best])
             for succ in graph.succs[best]:
                 remaining_preds[succ] -= 1
                 if remaining_preds[succ] == 0:
-                    ready.append(succ)
+                    arrival[succ] = arrived
+                    arrived += 1
+                    insort(ready, scan_key[succ])
 
         if len(order) != n:  # pragma: no cover - DAGs are acyclic by construction
             raise RuntimeError("dependence graph had a cycle")
-        return order, cycle
+        return order
 
     # -- telemetry ---------------------------------------------------------------
 
@@ -350,25 +288,24 @@ class ListScheduler:
                 break
         return components[min(depth, len(components)) - 1]
 
-    def _collect_rejections(
+    def _rejections(
         self,
         graph: DependenceGraph,
         cands: list[tuple[int, int]],
         best: int,
-        cycle: int,
-        state: PipelineState,
+        stream: IssueStream,
     ) -> tuple[Candidate, ...]:
         """Provenance for everything the pick beat: each rejected ready
-        candidate, priced by the first hazard blocking it at ``cycle``
-        (None when it could issue now and lost purely on priority).
-        Runs against the pre-issue state, so the hazards reported are
-        exactly the ones the priority function saw."""
+        candidate, priced by the first hazard blocking it at the
+        stream's cycle (None when it could issue now and lost purely on
+        priority). Runs before the pick is committed, so the hazards
+        reported are exactly the ones the priority function saw."""
         rejected = []
         for node, stalls in cands:
             if node == best:
                 continue
             inst = graph.nodes[node]
-            hazard = explain_stall(cycle, state, inst) if stalls > 0 else None
+            hazard = stream.explain(inst) if stalls > 0 else None
             rejected.append(
                 Candidate(
                     index=node,
@@ -378,11 +315,3 @@ class ListScheduler:
                 )
             )
         return tuple(rejected)
-
-    # -- measurement -------------------------------------------------------------
-
-    def _issue_cycles(self, instructions: list[Instruction]) -> int:
-        stream = IssueStream(self.model)
-        for inst in instructions:
-            stream.issue(inst)
-        return stream.cycle + 1 if instructions else 0

@@ -109,8 +109,8 @@ from ..obs.report import (
     SB_LEN,
     SCHED_BLOCKS,
 )
-from ..pipeline.stalls import issue
-from ..pipeline.state import PipelineState
+from ..pipeline.simulator import BlockSimulator
+from ..pipeline.stream import IssueStream
 from ..spawn.model import MachineModel
 from .block_scheduler import BlockScheduler, SchedulerStats
 from .dependence import SchedulingPolicy, _memory_conflict, build_dependence_graph
@@ -664,18 +664,15 @@ class SuperblockScheduler:
         #    each block in isolation (exactly what the inner scheduler
         #    would emit) but times the sequence with the pipeline state
         #    threaded, so both variants are costed on the same terms.
-        state = PipelineState(self.model)
-        cycle = 0
+        stream = IssueStream(self.model)
         local_checkpoints: list[int] = []
         for i in range(n):
             if bodies[i]:
                 local = self._planner.schedule_region(list(bodies[i]))
                 for inst in local.instructions:
-                    cycle = issue(cycle, state, inst).issue_cycle
-            for extra in (terms[i], delays[i]):
-                if extra is not None:
-                    cycle = issue(cycle, state, extra).issue_cycle
-            local_checkpoints.append(cycle)
+                    stream.issue(inst)
+            _issue_exit(stream, terms[i], delays[i])
+            local_checkpoints.append(stream.cycle)
         local_costs = _marginal(local_checkpoints)
 
         total_superblock = sum(f * c for f, c in zip(freqs, superblock_costs))
@@ -685,7 +682,7 @@ class SuperblockScheduler:
                 predicted_taken = max(freqs[i] - freqs[i + 1], 0)
                 # the trampoline adds its own ba + nop on the exit path.
                 total_superblock += predicted_taken * (
-                    self._issue_cost(sink_sets[i]) + 2
+                    BlockSimulator(self.model).block_cycles(sink_sets[i]) + 2
                 )
 
         if moved:
@@ -740,65 +737,40 @@ class SuperblockScheduler:
             superblock_cost=total_superblock,
         )
         self._cache_insert(cfg, blocks, bodies, terms, delays, freqs, plan)
-        self._record_plan_provenance(blocks, winning, terms, delays)
+        if self.provenance is not None:
+            # Replay the committed variant on a provenance-enabled
+            # scheduler, costed as _evaluate costed it, so the log holds
+            # the decisions that produced the committed bodies and none
+            # of a rejected variant's.
+            planner = ListScheduler(self.model, self.policy, provenance=self.provenance)
+            self._evaluate(winning, terms, delays, planner=planner, blocks=blocks)
         return plan
-
-    def _record_plan_provenance(
-        self,
-        blocks: list[BasicBlock],
-        winning: list[list[Instruction]],
-        terms: list[Instruction | None],
-        delays: list[Instruction | None],
-    ) -> None:
-        """Replay the committed variant through a provenance-enabled
-        scheduler. Mirrors :meth:`_evaluate` exactly (same carried-in
-        pipeline state), so the recorded decisions are the ones that
-        produced the committed bodies; the planner itself stays
-        telemetry-free so rejected variants never reach the log."""
-        if self.provenance is None:
-            return
-        planner = ListScheduler(
-            self.model, self.policy, provenance=self.provenance
-        )
-        state = PipelineState(self.model)
-        cycle = 0
-        for i, body in enumerate(winning):
-            self.provenance.current_block = blocks[i].index
-            if body:
-                result = planner.schedule_region(
-                    list(body), entry_state=state, entry_cycle=cycle
-                )
-                cycle = result.exit_cycle
-            for extra in (terms[i], delays[i]):
-                if extra is not None:
-                    cycle = issue(cycle, state, extra).issue_cycle
 
     def _evaluate(
         self,
         working: list[list[Instruction]],
         terms: list[Instruction | None],
         delays: list[Instruction | None],
+        *,
+        planner: ListScheduler | None = None,
+        blocks: list[BasicBlock] | None = None,
     ) -> tuple[list[ScheduleResult | None], list[int]]:
-        """Schedule each member body with the pipeline state carried in
+        """Schedule each member body on one issue stream carried in
         from its predecessors; returns the results and the per-block
-        marginal cycle costs (terminator and delay slot included)."""
+        marginal cycle costs (terminator and delay slot included).
+        ``blocks`` stamps each body's block on the provenance log."""
+        planner = planner if planner is not None else self._planner
         results: list[ScheduleResult | None] = []
-        state = PipelineState(self.model)
-        cycle = 0
+        stream = IssueStream(self.model)
         checkpoints: list[int] = []
         for i, body in enumerate(working):
-            if body:
-                result = self._planner.schedule_region(
-                    list(body), entry_state=state, entry_cycle=cycle
-                )
-                cycle = result.exit_cycle
-                results.append(result)
-            else:
-                results.append(None)
-            for extra in (terms[i], delays[i]):
-                if extra is not None:
-                    cycle = issue(cycle, state, extra).issue_cycle
-            checkpoints.append(cycle)
+            if blocks is not None:
+                self.provenance.current_block = blocks[i].index
+            results.append(
+                planner.schedule_region(list(body), entry=stream) if body else None
+            )
+            _issue_exit(stream, terms[i], delays[i])
+            checkpoints.append(stream.cycle)
         return results, _marginal(checkpoints)
 
     # -- motion sets -------------------------------------------------------------
@@ -1069,26 +1041,14 @@ class SuperblockScheduler:
     def _replay_attribution(self, cfg: CFG, plan: SuperblockPlan) -> None:
         """Re-issue the committed schedule through the recorder so the
         hazard-attribution counters reflect served plans, mirroring what
-        the guard does for cache hits — state threaded across the chain
-        exactly as the plan costed it."""
-        state = PipelineState(self.model)
-        cycle = 0
+        the block scheduler does for cache hits — one stream across the
+        chain, exactly as the plan costed it."""
+        stream = IssueStream(self.model, self.recorder)
         for index, body in zip(plan.superblock.blocks, plan.bodies):
             block = cfg.blocks[index]
             for inst in body:
-                cycle = issue(cycle, state, inst, self.recorder).issue_cycle
-            for extra in (block.terminator, block.delay):
-                if extra is not None:
-                    cycle = issue(cycle, state, extra, self.recorder).issue_cycle
-
-    # -- costing -----------------------------------------------------------------
-
-    def _issue_cost(self, instructions: list[Instruction]) -> int:
-        state = PipelineState(self.model)
-        cycle = 0
-        for inst in instructions:
-            cycle = issue(cycle, state, inst).issue_cycle
-        return cycle + 1 if instructions else 0
+                stream.issue(inst)
+            _issue_exit(stream, block.terminator, block.delay)
 
     # -- cache -------------------------------------------------------------------
 
@@ -1141,6 +1101,13 @@ class SuperblockScheduler:
         self.cache.insert_superblock(
             self._cache_context, digest, plan, verified=self.guarded
         )
+
+
+def _issue_exit(stream: IssueStream, *extras: Instruction | None) -> None:
+    """Issue a member block's terminator and delay slot, when present."""
+    for extra in extras:
+        if extra is not None:
+            stream.issue(extra)
 
 
 def _marginal(checkpoints: list[int]) -> list[int]:

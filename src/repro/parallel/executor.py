@@ -39,11 +39,12 @@ pool degrades further, to an in-process fast path
 (:class:`~repro.parallel.pool.InlineLease`): the same worker entry
 point runs on the same warm table-attached model with zero IPC,
 because fan-out that time-slices a single core is pure overhead.
-Cautious retry rounds still run in fresh single-worker pools for exact
-crash attribution, and a pool the supervisor kills is retired so the
-next build respawns clean workers
-(``ParallelOptions(persistent_pool=False)`` restores the historical
-pool-per-build behavior).
+Two kinds of work still run in fresh ephemeral pools: cautious retry
+rounds, one worker each, so crash attribution stays exact; and every
+round of an injected worker function (the chaos harness's fault
+injectors), which reads process state set after the shared pool forked.
+A pool the supervisor kills is retired so the next build respawns
+clean workers.
 
 Workers are supervised (:mod:`repro.robust.supervise`): each shard gets
 a wall-clock deadline, a dead or hung worker costs a bounded, bisecting
@@ -115,8 +116,6 @@ class ParallelOptions:
     to the platform default elsewhere. ``shard_deadline_s`` and
     ``max_shard_retries`` parameterize worker supervision
     (:class:`~repro.robust.supervise.SupervisionPolicy`).
-    ``persistent_pool=False`` opts out of the shared spawn-once worker
-    pool and builds an ephemeral pool per edit (the pre-pool behavior).
     """
 
     jobs: int = 1
@@ -125,7 +124,6 @@ class ParallelOptions:
     start_method: str | None = None
     shard_deadline_s: float = DEFAULT_SHARD_DEADLINE_S
     max_shard_retries: int = DEFAULT_MAX_SHARD_RETRIES
-    persistent_pool: bool = True
 
     def __post_init__(self) -> None:
         if self.jobs < 1:
@@ -296,7 +294,6 @@ class ParallelScheduler:
         start_method: str | None = None,
         shard_deadline_s: float = DEFAULT_SHARD_DEADLINE_S,
         max_shard_retries: int = DEFAULT_MAX_SHARD_RETRIES,
-        persistent_pool: bool = True,
         worker_fn=None,
     ) -> None:
         if getattr(inner, "cache", None) is not cache:
@@ -316,7 +313,6 @@ class ParallelScheduler:
         self.verify_trials = getattr(inner, "verify_trials", verify_trials)
         self.verify_seed = getattr(inner, "verify_seed", verify_seed)
         self.start_method = start_method
-        self.persistent_pool = persistent_pool
         self.supervision_policy = SupervisionPolicy(
             shard_deadline_s=shard_deadline_s, max_retries=max_shard_retries
         )
@@ -475,11 +471,7 @@ class ParallelScheduler:
             # are invisible to its workers — and must get fresh
             # processes it can kill.
             nonlocal leased
-            if (
-                self.persistent_pool
-                and not leased
-                and self.worker_fn is _schedule_shard
-            ):
+            if not leased and self.worker_fn is _schedule_shard:
                 leased = True
                 return acquire_pool(
                     jobs=self.jobs,
@@ -679,7 +671,6 @@ def make_transform(
             start_method=options.start_method,
             shard_deadline_s=options.shard_deadline_s,
             max_shard_retries=options.max_shard_retries,
-            persistent_pool=options.persistent_pool,
         )
     if superblock:
         config = superblock if isinstance(superblock, SuperblockConfig) else None

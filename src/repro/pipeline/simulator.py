@@ -18,8 +18,6 @@ from dataclasses import dataclass, field
 from ..isa.instruction import Instruction
 from ..obs.recorder import NULL_RECORDER, Recorder
 from ..spawn.model import MachineModel
-from .stalls import pipeline_stalls
-from .state import PipelineState
 from .stream import IssueStream
 
 
@@ -76,10 +74,3 @@ class BlockSimulator:
     def block_cycles(self, instructions: list[Instruction]) -> int:
         """Shorthand: the issue-cycle cost of a block."""
         return self.time_block(instructions).issue_cycles
-
-    def next_stalls(
-        self, state: PipelineState, cycle: int, inst: Instruction
-    ) -> int:
-        """The scheduler's priority metric: stalls before ``inst`` could
-        start executing, given the pipeline state so far."""
-        return pipeline_stalls(cycle, state, inst)

@@ -2,16 +2,20 @@
 
 Trace timing (:func:`repro.pipeline.timing.timed_run`), block timing
 (:class:`repro.pipeline.simulator.BlockSimulator`) and the list
-scheduler's cost measurement all issue a sequence of instructions, each
-at the earliest cycle at or after its predecessor's issue, and read the
-cycles back. :class:`IssueStream` is that walk. When the model carries
-compiled tables and nothing observes the walk, it runs on a
-:class:`~repro.pipeline.tables.LeanPipeline` — a state id and register
-history, no occupancy timeline. The first query the tables cannot
-answer moves the stream onto the interpreted walker, rebuilt from the
-lean state (:meth:`~repro.pipeline.tables.LeanPipeline.to_state`), for
-the rest of the stream. Either way every issue cycle equals the
-interpreted walker's.
+scheduler all issue a sequence of instructions, each at the earliest
+cycle at or after its predecessor's issue, and read the cycles back.
+:class:`IssueStream` is that walk, and the scheduler's stall oracle:
+:meth:`~IssueStream.query` prices a candidate at the stream's current
+cycle without issuing it, and :meth:`~IssueStream.commit` issues the
+chosen one.
+
+When the model carries compiled tables and nothing observes the walk,
+the stream runs on a :class:`~repro.pipeline.tables.LeanPipeline` — a
+state id and register history, no occupancy timeline. The first query
+the tables cannot answer moves the stream onto the interpreted walker,
+rebuilt from the lean state
+(:meth:`~repro.pipeline.tables.LeanPipeline.to_state`), for the rest of
+the stream. Either way every answer equals the interpreted walker's.
 
 An enabled recorder keeps the stream on the interpreted walker from the
 start, because hazard attribution reads the occupancy timeline.
@@ -19,10 +23,13 @@ start, because hazard attribution reads the occupancy timeline.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from ..isa.instruction import Instruction
 from ..obs.recorder import NULL_RECORDER, Recorder
-from ..spawn.model import MachineModel
-from .stalls import issue
+from ..spawn.model import InstructionTiming, MachineModel
+from .diagnose import Hazard, explain_stall
+from .stalls import issue, stall_query
 from .state import PipelineState
 from .tables import LeanPipeline, TableMiss
 
@@ -59,6 +66,8 @@ class IssueStream:
 
     def issue(self, inst: Instruction) -> int:
         """Issue ``inst`` and return its (absolute) issue cycle."""
+        # :meth:`query` + :meth:`commit`, fused: this is trace timing's
+        # per-instruction hot path.
         lean = self.lean
         if lean is not None:
             timing = self.model.timing(inst)
@@ -66,15 +75,63 @@ class IssueStream:
                 cycle, next_sid = lean.query(self.cycle, timing)
                 lean.commit(timing, cycle, next_sid)
             except TableMiss:
-                # Neither call changed the stream: rebuild it as an
-                # interpreted state and issue there.
-                self.state = lean.to_state(self.model)
-                self.base = lean.origin
-                self._drain = lean.drain
-                self.lean = None
+                self._leave_tables()
             else:
                 self.cycle = cycle
                 return cycle
+        return self._walk(inst)
+
+    def query(self, timing: InstructionTiming) -> tuple[int, int | None]:
+        """The earliest (absolute) cycle at or after :attr:`cycle` an
+        instruction of ``timing`` can issue, plus the token
+        :meth:`commit` takes to issue it there. Issues nothing."""
+        lean = self.lean
+        if lean is not None:
+            try:
+                return lean.query(self.cycle, timing)
+            except TableMiss:
+                self._leave_tables()
+        base = self.base
+        return self.cycle + stall_query(self.cycle - base, self.state, timing), None
+
+    def commit(self, inst: Instruction, hit: tuple[int, int | None]) -> int:
+        """Issue ``inst`` given ``hit``, what :meth:`query` answered for
+        it since the last issue; returns its (absolute) issue cycle."""
+        lean = self.lean
+        if lean is not None:
+            cycle, next_sid = hit
+            try:
+                lean.commit(self.model.timing(inst), cycle, next_sid)
+            except TableMiss:
+                self._leave_tables()
+            else:
+                self.cycle = cycle
+                return cycle
+        return self._walk(inst)
+
+    def explain(self, inst: Instruction) -> Hazard | None:
+        """The first hazard keeping ``inst`` from issuing at
+        :attr:`cycle`, or None (see
+        :func:`~repro.pipeline.diagnose.explain_stall`). On the tables
+        the question is put to an interpreted state rebuilt for it; the
+        stream itself is unchanged."""
+        if self.lean is not None:
+            state, base = self.lean.to_state(self.model), self.lean.origin
+        else:
+            state, base = self.state, self.base
+        hazard = explain_stall(self.cycle - base, state, inst)
+        return hazard if hazard is None else replace(hazard, cycle=hazard.cycle + base)
+
+    def _leave_tables(self) -> None:
+        # A TableMiss leaves the lean stream unchanged: continue it as
+        # an interpreted state.
+        lean = self.lean
+        self.state = lean.to_state(self.model)
+        self.base = lean.origin
+        self._drain = lean.drain
+        self.lean = None
+
+    def _walk(self, inst: Instruction) -> int:
         base = self.base
         result = issue(self.cycle - base, self.state, inst, self.recorder)
         self.cycle = cycle = result.issue_cycle + base

@@ -352,7 +352,8 @@ class PipelineTables:
 
 class TableMiss(Exception):
     """A lean table walk hit a state the tables cannot serve; the
-    caller must redo the work with the full interpreted machinery."""
+    stream continues on the interpreted walker (see
+    :meth:`LeanPipeline.to_state`)."""
 
 
 def _lean_accesses(
@@ -382,10 +383,9 @@ class LeanPipeline:
     This is the promise of the compiled tables made literal — an issue
     is a couple of dictionary lookups plus register-history updates.
     No occupancy rows are maintained, so the moment a query cannot be
-    served from the tables (:class:`TableMiss`) the caller either
-    restarts its work on a full
-    :class:`~repro.pipeline.state.PipelineState` or continues on the
-    one :meth:`to_state` rebuilds from this stream. The register
+    served from the tables (:class:`TableMiss`) the caller continues on
+    the :class:`~repro.pipeline.state.PipelineState` :meth:`to_state`
+    rebuilds from this stream. The register
     lower-bound logic mirrors
     :func:`repro.pipeline.stalls._table_query`, and the commit mirrors
     :func:`repro.pipeline.stalls.issue`'s history updates, so lean and

@@ -383,7 +383,7 @@ class GuardedBlockScheduler:
             if result is not None:
                 self.inner.stats.merge(result)
                 if self.recorder.enabled:
-                    self.inner._replay_attribution(result.instructions)
+                    self.inner.scheduler.attribute(result.instructions)
         return join_regions(
             regions,
             [r.instructions if r is not None else [] for r in replayed],

@@ -151,13 +151,13 @@ def test_parallel_workers_actually_warm_the_cache():
 # -- the persistent pool joins the matrix ----------------------------------------
 
 
-def pooled_build(program, *, jobs, persistent_pool, cache=None):
+def pooled_build(program, *, jobs, cache=None):
     recorder = MetricsRecorder()
     transform = make_transform(
         MACHINE,
         POLICY,
         recorder,
-        options=ParallelOptions(jobs=jobs, persistent_pool=persistent_pool),
+        options=ParallelOptions(jobs=jobs),
         cache=cache,
     )
     profiled = SlowProfiler(program.executable, recorder=recorder).instrument(
@@ -174,17 +174,13 @@ def pooled_build(program, *, jobs, persistent_pool, cache=None):
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_persistent_pool_joins_the_differential_matrix(seed):
-    """PR 10's pool must not perturb a single byte, stat, or hazard
-    bucket relative to the fork-per-call executor it replaced."""
+    """The shared worker pool must not perturb a single byte, stat, or
+    hazard bucket relative to a serial build."""
     program = workload(seed)
     reference = build(program, jobs=1, use_cache=False)
     for jobs in (2, 4):
-        pooled = pooled_build(program, jobs=jobs, persistent_pool=True,
-                              cache=ScheduleCache())
-        ephemeral = pooled_build(program, jobs=jobs, persistent_pool=False,
-                                 cache=ScheduleCache())
-        assert pooled == reference, f"persistent pool jobs={jobs} diverged"
-        assert ephemeral == reference, f"ephemeral pool jobs={jobs} diverged"
+        pooled = pooled_build(program, jobs=jobs, cache=ScheduleCache())
+        assert pooled == reference, f"pooled jobs={jobs} diverged"
 
 
 def test_forced_real_pool_matches_inline_fast_path(monkeypatch):
@@ -195,11 +191,9 @@ def test_forced_real_pool_matches_inline_fast_path(monkeypatch):
     program = workload(101)
     reference = build(program, jobs=1, use_cache=False)
     monkeypatch.setenv(INLINE_ENV, "1")
-    inline = pooled_build(program, jobs=2, persistent_pool=True,
-                          cache=ScheduleCache())
+    inline = pooled_build(program, jobs=2, cache=ScheduleCache())
     monkeypatch.setenv(INLINE_ENV, "0")
-    forked = pooled_build(program, jobs=2, persistent_pool=True,
-                          cache=ScheduleCache())
+    forked = pooled_build(program, jobs=2, cache=ScheduleCache())
     assert inline == reference
     assert forked == reference
 

@@ -42,11 +42,11 @@ def workload(seed=61):
     )
 
 
-def build(program, *, jobs, cache=None, persistent_pool=True):
+def build(program, *, jobs, cache=None):
     transform = make_transform(
         MACHINE,
         POLICY,
-        options=ParallelOptions(jobs=jobs, persistent_pool=persistent_pool),
+        options=ParallelOptions(jobs=jobs),
         cache=cache,
     )
     profiled = SlowProfiler(program.executable).instrument(transform)
@@ -128,11 +128,9 @@ def test_manager_refuses_inline_when_not_allowed(monkeypatch):
 # -- builds through the pool -----------------------------------------------------
 
 
-def test_persistent_and_ephemeral_pools_agree_byte_for_byte():
+def test_pooled_build_matches_serial_byte_for_byte():
     program = workload(62)
-    serial = build(program, jobs=1)
-    assert build(program, jobs=4, persistent_pool=True) == serial
-    assert build(program, jobs=4, persistent_pool=False) == serial
+    assert build(program, jobs=4) == build(program, jobs=1)
 
 
 def test_forced_real_pool_agrees_with_inline(monkeypatch):
